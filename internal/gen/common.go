@@ -4,15 +4,17 @@
 // replaced by generators that reproduce the topological signatures the
 // paper's analysis depends on; see DESIGN.md §2 for the substitution table.
 //
-// All generators are deterministic in (size, seed): per-vertex RNG streams
-// are derived from the seed and the vertex id, so the emitted graph does
-// not depend on worker count.
+// All generators are deterministic in (size, seed) and independent of the
+// worker count. Per-vertex RNG streams are derived from the seed and the
+// vertex id, so the emitted edge list is the same for every worker count,
+// and Build turns it into the same graph: the same adjacency order, shard
+// order and simulated addresses, not only the same edge set.
 package gen
 
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"github.com/graphbig/graphbig-go/internal/concurrent"
 	"github.com/graphbig/graphbig-go/internal/property"
@@ -91,45 +93,80 @@ type BuildOpts struct {
 }
 
 // Build materializes v vertices (IDs 0..v-1) and the packed edge list into
-// a property graph. The list is sorted and de-duplicated first; self loops
-// are dropped. Edge weights are derived deterministically from endpoints.
+// a property graph. The list is sorted in place and de-duplicated first;
+// self loops and edges with an endpoint outside [0,v) are dropped. Edge
+// weights are derived deterministically from endpoints. The graph is
+// built in bulk (property.Bulk.Build). For every worker count it equals
+// the graph built by adding the vertices in ID order, then the edges in
+// sorted order, through the primitives.
 func Build(v int, edges []uint64, o BuildOpts) *property.Graph {
-	sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
-	w := 0
-	var prev uint64
-	for i, e := range edges {
-		if i > 0 && e == prev {
-			continue
-		}
-		prev = e
-		a, b := unpack(e)
-		if a == b {
-			continue
-		}
-		edges[w] = e
-		w++
+	edges = sortEdges(v, edges, o.Workers)
+	b := &property.Bulk{
+		IDs: make([]property.VertexID, v),
+		Src: make([]int32, len(edges)),
+		Dst: make([]int32, len(edges)),
+		W:   make([]float64, len(edges)),
 	}
-	edges = edges[:w]
-
-	g := property.New(property.Options{
+	for i := range b.IDs {
+		b.IDs[i] = property.VertexID(i)
+	}
+	concurrent.ParallelRange(len(edges), o.Workers, func(s, e int) {
+		for i := s; i < e; i++ {
+			a, c := unpack(edges[i])
+			b.Src[i], b.Dst[i], b.W[i] = a, c, edgeWeight(a, c)
+		}
+	})
+	g, err := b.Build(property.Options{
 		Directed:     o.Directed,
 		TrackInEdges: o.TrackIn,
 		Schema:       o.Schema,
 		Hint:         v,
-	})
-	concurrent.ParallelRange(v, o.Workers, func(s, e int) {
-		for i := s; i < e; i++ {
-			g.AddVertex(property.VertexID(i))
-		}
-	})
-	concurrent.ParallelRange(len(edges), o.Workers, func(s, e int) {
-		for i := s; i < e; i++ {
-			a, b := unpack(edges[i])
-			// Endpoints exist by construction, so the error is impossible.
-			_ = g.AddEdge(property.VertexID(a), property.VertexID(b), edgeWeight(a, b))
-		}
-	})
+	}, o.Workers)
+	if err != nil {
+		panic(err) // unreachable: every endpoint was checked above
+	}
 	return g
+}
+
+// sortEdges sorts the packed edges in place, dropping duplicates, self
+// loops and edges with an endpoint outside [0,v), and returns the
+// survivors. It is a counting sort on the source vertex followed by a
+// sort of each source's bucket, the buckets split across workers.
+func sortEdges(v int, edges []uint64, workers int) []uint64 {
+	keep := func(e uint64) bool {
+		a, b := unpack(e)
+		return a != b && a >= 0 && b >= 0 && int(a) < v && int(b) < v
+	}
+	off := make([]int, v+1)
+	for _, e := range edges {
+		if keep(e) {
+			off[e>>32+1]++
+		}
+	}
+	for i := 1; i <= v; i++ {
+		off[i] += off[i-1]
+	}
+	bySrc := make([]uint64, off[v])
+	next := make([]int, v)
+	copy(next, off)
+	for _, e := range edges {
+		if keep(e) {
+			bySrc[next[e>>32]] = e
+			next[e>>32]++
+		}
+	}
+	concurrent.ParallelRange(v, workers, func(s, e int) {
+		for a := s; a < e; a++ {
+			slices.Sort(bySrc[off[a]:off[a+1]])
+		}
+	})
+	out := edges[:0]
+	for i, e := range bySrc {
+		if i == 0 || e != bySrc[i-1] {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // perVertexEdges runs emit for every vertex with its deterministic RNG and

@@ -1,6 +1,10 @@
 package gen
 
 import (
+	"math/rand/v2"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/graphbig/graphbig-go/internal/property"
@@ -58,6 +62,69 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 			t.Fatalf("vertex %d differs across worker counts", v.ID)
 		}
 	})
+}
+
+// Every generated graph, and so every View array the engine streams, is
+// the same for every worker count.
+func TestCatalogIdenticalAcrossWorkers(t *testing.T) {
+	builds := map[string]func(v int, seed int64, workers int) *property.Graph{
+		"dag":  DAG,
+		"rmat": func(_ int, seed int64, workers int) *property.Graph { return RMAT(12, 8, seed, workers) },
+	}
+	for _, d := range Catalog {
+		builds[d.Name] = d.Build
+	}
+	for name, build := range builds {
+		var gs []*property.Graph
+		for _, w := range []int{1, 2, 8} {
+			gs = append(gs, build(3000, 11, w))
+			if !reflect.DeepEqual(gs[len(gs)-1], gs[0]) {
+				t.Fatalf("%s: the graph built with %d workers differs from 1 worker", name, w)
+			}
+		}
+		// ViewWith publishes sys.index into the graph, so views come last.
+		want := gs[0].ViewWith(property.ViewOpts{Workers: 1})
+		for i, w := range []int{2, 8} {
+			got := gs[i+1].ViewWith(property.ViewOpts{Workers: w})
+			if !slices.Equal(got.NbrOff, want.NbrOff) || !slices.Equal(got.Nbr, want.Nbr) ||
+				!slices.Equal(got.NbrW, want.NbrW) || !slices.Equal(got.InOff, want.InOff) ||
+				!slices.Equal(got.InNbr, want.InNbr) {
+				t.Fatalf("%s: View arrays differ between 1 and %d workers", name, w)
+			}
+		}
+	}
+}
+
+// Build equals the serial construction it replaced: sort.Slice, drop
+// duplicates and self loops, AddVertex in ID order, then AddEdge in sorted
+// order, skipping edges whose endpoint does not exist.
+func TestBuildMatchesSerialConstruction(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	const v = 2000
+	var edges []uint64
+	for range 20000 {
+		a, b := int32(r.IntN(v+20)-10), int32(r.IntN(v))
+		edges = append(edges, pack(a, b), packUndirected(a, b))
+	}
+	for _, o := range []BuildOpts{{}, {Directed: true}, {Directed: true, TrackIn: true}} {
+		ref := slices.Clone(edges)
+		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
+		want := property.New(property.Options{Directed: o.Directed, TrackInEdges: o.TrackIn, Hint: v})
+		for i := range v {
+			want.AddVertex(property.VertexID(i))
+		}
+		for i, e := range ref {
+			if a, b := unpack(e); a != b && (i == 0 || e != ref[i-1]) {
+				_ = want.AddEdge(property.VertexID(a), property.VertexID(b), edgeWeight(a, b))
+			}
+		}
+		for _, w := range []int{1, 2, 8} {
+			o.Workers = w
+			if got := Build(v, slices.Clone(edges), o); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: Build differs from the serial construction", o)
+			}
+		}
+	}
 }
 
 func TestSeedChangesGraph(t *testing.T) {

@@ -14,12 +14,14 @@ package loader
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"github.com/graphbig/graphbig-go/internal/property"
 )
@@ -80,6 +82,9 @@ func Read(r io.Reader) (*property.Graph, error) {
 			continue
 		}
 		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue // white space only
+		}
 		switch fields[0] {
 		case "v":
 			if len(fields) != 2 {
@@ -122,12 +127,28 @@ func Read(r io.Reader) (*property.Graph, error) {
 // ReadSNAP parses a SNAP-style edge list: one `src dst [weight]` pair
 // per line, whitespace-separated, with `#` comment lines (the header
 // convention of the snap.stanford.edu datasets). Vertices are created
-// on first mention; absent weights default to 1. The graph is directed
-// with in-edge tracking, so engine pull phases and reverse-CSR
-// workloads run on real datasets exactly as on generated ones. The
-// stream may be gzip-compressed — the reader sniffs the two magic
-// bytes rather than trusting a file extension.
+// on first mention; absent weights default to 1; duplicate arcs and
+// self loops are kept. The graph is directed with in-edge tracking, so
+// engine pull phases and reverse-CSR workloads run on real datasets
+// exactly as on generated ones. The stream may be gzip-compressed — the
+// reader sniffs the two magic bytes rather than trusting a file
+// extension. The graph is built in bulk. It equals the graph built by
+// adding, through the primitives, each vertex at its first mention and
+// each arc in file order.
 func ReadSNAP(r io.Reader) (*property.Graph, error) {
+	b, err := parseSNAP(r)
+	if err != nil {
+		return nil, err
+	}
+	return b.Build(snapOptions, 0)
+}
+
+// snapOptions are the graph options of every SNAP load.
+var snapOptions = property.Options{Directed: true, TrackInEdges: true}
+
+// parseSNAP reads a SNAP edge list into a construction stream: vertices
+// in first-mention order, arcs in file order.
+func parseSNAP(r io.Reader) (*property.Bulk, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
 		zr, err := gzip.NewReader(br)
@@ -137,56 +158,97 @@ func ReadSNAP(r io.Reader) (*property.Graph, error) {
 		defer zr.Close()
 		br = bufio.NewReaderSize(zr, 1<<20)
 	}
-	g := property.New(property.Options{Directed: true, TrackInEdges: true})
-	seen := make(map[property.VertexID]struct{})
-	ensure := func(id property.VertexID) {
-		if _, ok := seen[id]; !ok {
-			seen[id] = struct{}{}
-			g.AddVertex(id)
+	b := &property.Bulk{}
+	index := make(map[property.VertexID]int32)
+	mention := func(id property.VertexID) int32 {
+		if i, ok := index[id]; ok {
+			return i
 		}
+		i := property.Index32(len(b.IDs))
+		index[id] = i
+		b.IDs = append(b.IDs, id)
+		b.At = append(b.At, len(b.Src))
+		return i
 	}
 	sc := bufio.NewScanner(br)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	edges := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' {
+	var f [][]byte
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		f = fields(f, sc.Bytes())
+		if len(f) == 0 || f[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 && len(fields) != 3 {
-			return nil, fmt.Errorf("loader: line %d: want `src dst [weight]`, got %q", lineNo, line)
+		if len(f) != 2 && len(f) != 3 {
+			return nil, fmt.Errorf("loader: line %d: want `src dst [weight]`, got %q",
+				lineNo, strings.TrimSpace(sc.Text()))
 		}
-		src, err := strconv.ParseUint(fields[0], 10, 64)
+		src, err := parseID(f[0])
 		if err != nil {
 			return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
 		}
-		dst, err := strconv.ParseUint(fields[1], 10, 64)
+		dst, err := parseID(f[1])
 		if err != nil {
 			return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
 		}
 		w := 1.0
-		if len(fields) == 3 {
-			if w, err = strconv.ParseFloat(fields[2], 64); err != nil {
+		if len(f) == 3 {
+			if w, err = strconv.ParseFloat(string(f[2]), 64); err != nil {
 				return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
 			}
 		}
-		ensure(property.VertexID(src))
-		ensure(property.VertexID(dst))
-		if err := g.AddEdge(property.VertexID(src), property.VertexID(dst), w); err != nil {
-			return nil, fmt.Errorf("loader: line %d: %w", lineNo, err)
-		}
-		edges++
+		s := mention(property.VertexID(src))
+		d := mention(property.VertexID(dst))
+		b.Src, b.Dst, b.W = append(b.Src, s), append(b.Dst, d), append(b.W, w)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if edges == 0 && len(seen) == 0 {
+	if len(b.Src) == 0 {
 		return nil, fmt.Errorf("loader: no edges in SNAP input")
 	}
-	return g, nil
+	return b, nil
+}
+
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// fields splits line around white space as bytes.Fields does, reusing
+// buf; only lines with non-ASCII bytes go to bytes.Fields itself.
+func fields(buf [][]byte, line []byte) [][]byte {
+	buf = buf[:0]
+	start := -1
+	for i, c := range line {
+		switch {
+		case c >= utf8.RuneSelf:
+			return bytes.Fields(line)
+		case asciiSpace[c]:
+			if start >= 0 {
+				buf = append(buf, line[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		buf = append(buf, line[start:])
+	}
+	return buf
+}
+
+// parseID is strconv.ParseUint(string(b), 10, 64) without the string
+// conversion in the common case: up to 19 digits cannot overflow.
+func parseID(b []byte) (uint64, error) {
+	if len(b) > 19 {
+		return strconv.ParseUint(string(b), 10, 64)
+	}
+	var x uint64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return strconv.ParseUint(string(b), 10, 64)
+		}
+		x = x*10 + uint64(c-'0')
+	}
+	return x, nil
 }
 
 // LoadSNAP reads a SNAP edge list (plain or gzipped) from path.

@@ -125,7 +125,12 @@ type Graph struct {
 var ErrNeedInEdges = errors.New("property: DeleteVertex on a directed graph requires TrackInEdges")
 
 // New returns an empty graph.
-func New(opt Options) *Graph {
+func New(opt Options) *Graph { return newGraph(opt, opt.Hint) }
+
+// newGraph is New with a separate presize hint for the shard maps. Map
+// capacity is invisible to the simulated layout, which follows
+// opt.Hint alone.
+func newGraph(opt Options, mapHint int) *Graph {
 	ns := opt.Shards
 	if ns <= 0 {
 		ns = 256
@@ -162,7 +167,7 @@ func New(opt Options) *Graph {
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.id = i
-		sh.index = make(map[VertexID]*Vertex, per)
+		sh.index = make(map[VertexID]*Vertex, max(per, mapHint/ns+4))
 		cap64 := uint64(16)
 		for cap64 < uint64(2*per) {
 			cap64 <<= 1
@@ -272,19 +277,8 @@ func (g *Graph) AddVertex(id VertexID) (v *Vertex, added bool) {
 		return old, false
 	}
 	nprops := g.sch.cap
-	v = &Vertex{
-		ID:    id,
-		props: make([]float64, nprops),
-		addr:  g.arena.Alloc(vertexRecordBytes+uint64(nprops)*propSlotBytes, 64),
-	}
-	sh.index[id] = v
-	sh.verts = append(sh.verts, v)
-	sh.idxCount++
-	grew := sh.idxCount*2 > sh.idxCap
-	if grew {
-		sh.idxCap *= 2
-		sh.idxAddr = g.arena.Alloc(sh.idxCap*indexBucketBytes, 64)
-	}
+	v = &Vertex{ID: id, props: make([]float64, nprops)}
+	grew := g.insert(sh, v)
 	sh.mu.Unlock()
 	g.nVerts.Add(1)
 	if t != nil {
@@ -298,6 +292,22 @@ func (g *Graph) AddVertex(id VertexID) (v *Vertex, added bool) {
 		t.Exit()
 	}
 	return v, true
+}
+
+// insert draws v's simulated record address and indexes v in its shard,
+// doubling the simulated index table once it is more than half full.
+// Caller holds sh's lock (or runs single-threaded).
+func (g *Graph) insert(sh *shard, v *Vertex) (grew bool) {
+	v.addr = g.arena.Alloc(vertexRecordBytes+uint64(len(v.props))*propSlotBytes, 64)
+	sh.index[v.ID] = v
+	sh.verts = append(sh.verts, v)
+	sh.idxCount++
+	if sh.idxCount*2 <= sh.idxCap {
+		return false
+	}
+	sh.idxCap *= 2
+	sh.idxAddr = g.arena.Alloc(sh.idxCap*indexBucketBytes, 64)
+	return true
 }
 
 // growEdges moves v's out-edge chunk to a new simulated address with doubled

@@ -1,7 +1,9 @@
 package property
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -202,13 +204,13 @@ func (g *Graph) gatherShard(i int, dst []*Vertex) []*Vertex {
 
 // sortVertsByID sorts the snapshot by VertexID. Above a size floor it
 // sorts contiguous chunks in parallel and merges pairwise bottom-up;
-// below it (or single-threaded) it falls back to one sort.Slice. IDs are
-// unique, so every merge is stable-equivalent and the result matches the
-// serial sort exactly.
+// below it (or single-threaded) it makes one slices.SortFunc call. IDs
+// are unique, so every merge is stable-equivalent and the result matches
+// the serial sort exactly.
 func sortVertsByID(vs []*Vertex, workers int) {
 	n := len(vs)
 	if workers <= 1 || n < 8192 {
-		sort.Slice(vs, func(i, j int) bool { return vs[i].ID < vs[j].ID })
+		slices.SortFunc(vs, byID)
 		return
 	}
 	bounds := concurrent.ChunkBounds(n, workers)
@@ -218,8 +220,7 @@ func sortVertsByID(vs []*Vertex, workers int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			part := vs[lo:hi]
-			sort.Slice(part, func(i, j int) bool { return part[i].ID < part[j].ID })
+			slices.SortFunc(vs[lo:hi], byID)
 		}(bounds[w], bounds[w+1])
 	}
 	wg.Wait()
@@ -255,6 +256,8 @@ func sortVertsByID(vs []*Vertex, workers int) {
 		copy(vs, src)
 	}
 }
+
+func byID(a, b *Vertex) int { return cmp.Compare(a.ID, b.ID) }
 
 func mergeVerts(dst, a, b []*Vertex) {
 	i, j := 0, 0
