@@ -11,9 +11,10 @@
 //
 // Scratch slots hold only owned memory. A small registry names the
 // scratch fields that are recycled between phases — the engine's
-// pull-exit sparsification buffer (Engine.sparse), the partitioned
-// engine's per-partition next queues (partState.nx), and the exchange
-// buffer's message rows (Mailboxes.box). Every assignment into a
+// pull-exit sparsification buffer (Engine.sparse), its per-worker
+// push-round queue buffers (pushLane.buf), the partitioned engine's
+// per-partition next queues (partState.nx), and the exchange buffer's
+// message rows (Mailboxes.box). Every assignment into a
 // registry field (or into one of its rows) is checked: the stored value
 // must not alias the published View's frozen memory, package-level
 // state, or memory blurred in from unanalyzed code. A phase that
@@ -53,6 +54,7 @@ var scratchSlots = []struct {
 	pkg, typ, field string
 }{
 	{"internal/engine", "Engine", "sparse"},
+	{"internal/engine", "pushLane", "buf"},
 	{"internal/engine", "partState", "nx"},
 	{"internal/concurrent", "Mailboxes", "box"},
 }

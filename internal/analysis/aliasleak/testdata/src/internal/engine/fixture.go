@@ -1,5 +1,6 @@
 // Fixture engine package: scratch-slot holders for aliasleak's registry
-// (Engine.sparse and partState.nx) and the stores that recycle them.
+// (Engine.sparse, pushLane.buf and partState.nx) and the stores that
+// recycle them.
 package engine
 
 import (
@@ -11,6 +12,11 @@ import (
 // Engine mirrors the real engine's scratch holder.
 type Engine struct {
 	sparse []int32
+}
+
+// pushLane mirrors the engine's per-worker push-round queue buffer.
+type pushLane struct {
+	buf []int32
 }
 
 // partState mirrors the partitioned engine's per-partition queues.
@@ -28,6 +34,8 @@ func Run() {
 	_ = fresh()
 	_ = leakView(vw)
 	_ = leakRow(vw)
+	_ = freshLanes()
+	_ = leakLane(vw)
 	_ = leakGlobal()
 	_ = leakExtern()
 	_ = waived(vw)
@@ -52,6 +60,23 @@ func leakRow(vw *property.View) *partState {
 	p.nx = make([][]int32, 2)
 	p.nx[0] = vw.NbrOff // want "memory of the published View stored into scratch partState.nx"
 	return p
+}
+
+// freshLanes recycles owned buffers, the way the engine does: clean.
+func freshLanes() []pushLane {
+	lanes := make([]pushLane, 2)
+	for p := range lanes {
+		lanes[p].buf = make([]int32, 0, 8)
+	}
+	buf := append(lanes[0].buf[:0], 3)
+	lanes[0].buf = buf[:0]
+	return lanes
+}
+
+func leakLane(vw *property.View) []pushLane {
+	lanes := make([]pushLane, 2)
+	lanes[1].buf = vw.NbrOff[:0] // want "memory of the published View stored into scratch pushLane.buf"
+	return lanes
 }
 
 func leakGlobal() *Engine {

@@ -10,7 +10,9 @@
 //
 //   - writes to variables declared inside the context are goroutine-local;
 //   - element writes into a slice are safe when the first index is
-//     proven worker-distinct, or the slice itself is worker-owned;
+//     proven worker-distinct, or the slice itself is worker-owned; a
+//     field of a struct-valued element (x[i].f, not through a pointer)
+//     counts as an element write;
 //   - any other write (captured variable, struct field, pointer target,
 //     map entry) must happen under a held mutex.
 //

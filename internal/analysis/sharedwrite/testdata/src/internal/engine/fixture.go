@@ -12,7 +12,21 @@ import (
 	"internal/partition"
 )
 
+// lane is a per-worker record held by value in a slice, the engine's
+// push-lane shape; node is reached through pointer elements.
+type lane struct {
+	buf  []int32
+	n    int64
+	next *lane
+}
+
+type node struct {
+	n int64
+}
+
 type sim struct {
+	lanes []lane
+	nodes []*node
 	out   []int
 	verts []int
 	dist  []int32
@@ -263,6 +277,27 @@ func (s *sim) stridedBad(n, passes int) {
 		for a := 0; a < passes; a++ {
 			s.hist[a*n+k] = 3 // want "write to shared .* is not proven disjoint across workers"
 		}
+	})
+}
+
+// laneFields: a field of a struct-valued element is part of the
+// element, so x[i].f is an element write — disjoint under a distinct
+// index, shared under a common one.
+func (s *sim) laneFields(k int) {
+	concurrent.ParallelItems(k, k, 1, func(i int) {
+		s.lanes[i].n = 1
+		s.lanes[i].buf = s.lanes[i].buf[:0]
+		s.lanes[0].n = 2 // want "write to shared .* is not proven disjoint across workers"
+	})
+}
+
+// laneThroughPointer: an element field reached through a pointer
+// (pointer elements, or a pointer field of the element) may alias
+// another worker's target; the index proves nothing.
+func (s *sim) laneThroughPointer(k int) {
+	concurrent.ParallelItems(k, k, 1, func(i int) {
+		s.nodes[i].n = 1      // want "unsynchronized write to shared"
+		s.lanes[i].next.n = 2 // want "unsynchronized write to shared"
 	})
 }
 

@@ -417,53 +417,17 @@ func (e *env) classifyWrite(lhs ast.Expr) {
 		}
 		e.flagShared(x.Pos(), types.ExprString(x))
 	case *ast.IndexExpr:
-		root, first := x.X, x.Index
-		for {
-			ix, ok := ast.Unparen(root).(*ast.IndexExpr)
-			if !ok {
-				break
-			}
-			first = ix.Index
-			root = ix.X
-		}
-		// A local value array is goroutine-local storage.
-		if id, ok := ast.Unparen(root).(*ast.Ident); ok {
-			if v := e.objOf(id); v != nil && e.locals[v] {
-				if _, isArr := v.Type().Underlying().(*types.Array); isArr {
-					return
-				}
-			}
-		}
-		op, _ := e.ownedProve(root)
-		if op.ok {
-			return
-		}
-		if e.ptsOwned(root) {
-			return
-		}
-		if tv, ok := e.info().Types[root]; ok && tv.Type != nil {
-			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-				// A shared map's entries are never index-disjoint:
-				// own it, lock, or waive.
-				e.flagShared(x.Pos(), types.ExprString(x))
-				return
-			}
-		}
-		p := e.prove(first)
-		if p.ok {
-			return
-		}
-		via := p.via
-		if via == nil {
-			via = op.via
-		}
-		e.flagIndex(x.Pos(), types.ExprString(x), via)
+		e.classifyElemWrite(x, types.ExprString(x))
 	case *ast.SelectorExpr:
 		// Field write into a local value struct is goroutine-local;
 		// anything reached through a pointer or capture is shared.
 		base := ast.Expr(x)
+		inPlace := true // every hop selects a field of a struct value
 		for {
 			if s, ok := ast.Unparen(base).(*ast.SelectorExpr); ok {
+				if tv, ok := e.info().Types[s.X]; !ok || !isStructValue(tv.Type) {
+					inPlace = false
+				}
 				base = s.X
 				continue
 			}
@@ -476,6 +440,12 @@ func (e *env) classifyWrite(lhs ast.Expr) {
 				}
 			}
 		}
+		// A field of a struct-valued slice or array element is part of
+		// that element: x[i].f is an element write into x.
+		if ix, ok := ast.Unparen(base).(*ast.IndexExpr); ok && inPlace {
+			e.classifyElemWrite(ix, types.ExprString(x))
+			return
+		}
 		// A pointer to a freshly allocated value is worker-owned.
 		if op, _ := e.ownedProve(base); op.ok {
 			return
@@ -487,6 +457,63 @@ func (e *env) classifyWrite(lhs ast.Expr) {
 	case *ast.StarExpr:
 		e.flagShared(x.Pos(), types.ExprString(x))
 	}
+}
+
+// isStructValue reports whether t is a struct held by value, so selecting
+// one of its fields stays inside the same memory.
+func isStructValue(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Struct)
+	return ok
+}
+
+// classifyElemWrite vets an element write x[i]...[j] (desc names the
+// whole target): safe when the container is goroutine-local or owned, or
+// when the first index is proven worker-distinct.
+func (e *env) classifyElemWrite(x *ast.IndexExpr, desc string) {
+	root, first := x.X, x.Index
+	for {
+		ix, ok := ast.Unparen(root).(*ast.IndexExpr)
+		if !ok {
+			break
+		}
+		first = ix.Index
+		root = ix.X
+	}
+	// A local value array is goroutine-local storage.
+	if id, ok := ast.Unparen(root).(*ast.Ident); ok {
+		if v := e.objOf(id); v != nil && e.locals[v] {
+			if _, isArr := v.Type().Underlying().(*types.Array); isArr {
+				return
+			}
+		}
+	}
+	op, _ := e.ownedProve(root)
+	if op.ok {
+		return
+	}
+	if e.ptsOwned(root) {
+		return
+	}
+	if tv, ok := e.info().Types[root]; ok && tv.Type != nil {
+		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+			// A shared map's entries are never index-disjoint:
+			// own it, lock, or waive.
+			e.flagShared(x.Pos(), types.ExprString(x))
+			return
+		}
+	}
+	p := e.prove(first)
+	if p.ok {
+		return
+	}
+	via := p.via
+	if via == nil {
+		via = op.via
+	}
+	e.flagIndex(x.Pos(), desc, via)
 }
 
 func (e *env) handleExpr(x ast.Expr) {

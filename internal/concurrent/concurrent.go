@@ -101,8 +101,8 @@ func (b *Bitmap) AppendSet(dst []int32) []int32 {
 }
 
 // Frontier is a concurrent append-only queue of int32 vertex indices used
-// for level-synchronous traversal. Writers call Push from many goroutines;
-// after a barrier, readers consume the Slice.
+// for level-synchronous traversal. Writers call Push or Append from many
+// goroutines; after a barrier, readers consume the Slice.
 type Frontier struct {
 	buf []int32
 	len atomic.Int64
@@ -114,15 +114,48 @@ func NewFrontier(capacity int) *Frontier {
 }
 
 // Push appends v. It panics with a descriptive message if capacity is
-// exceeded (callers size frontiers by vertex count, which bounds every
-// level); a raw index-out-of-range from a worker goroutine would be
-// undiagnosable.
+// exceeded (see overflow).
 func (f *Frontier) Push(v int32) {
 	i := f.len.Add(1) - 1
 	if int(i) >= len(f.buf) {
-		panic(fmt.Sprintf("concurrent: Frontier capacity %d exceeded pushing vertex %d (a vertex was enqueued more than once?)", len(f.buf), v))
+		f.overflow(v)
 	}
 	f.buf[i] = v
+}
+
+// Append appends every element of vs with a single atomic reservation of
+// len(vs) slots, then copies them in: the bulk form of Push that per-worker
+// queue buffers flush through, so a worker pays one contended atomic per
+// block instead of one per vertex. The block lands contiguously and in
+// order; blocks from concurrent callers are not interleaved. An empty vs
+// is a no-op. Overflow panics with Push's message, naming the first
+// vertex that did not fit.
+func (f *Frontier) Append(vs []int32) {
+	if len(vs) == 0 {
+		return
+	}
+	buf := f.buf
+	start := int(f.len.Add(int64(len(vs)))) - len(vs)
+	if start >= 0 && start <= len(buf) && len(buf)-start >= len(vs) {
+		copy(buf[start:], vs)
+		return
+	}
+	for k, v := range vs {
+		if start+k >= len(buf) {
+			f.overflow(v)
+		}
+	}
+}
+
+// overflow reports a capacity violation. Callers size frontiers by vertex
+// count, which bounds every level, so the likely cause is a vertex
+// enqueued twice; a raw index-out-of-range from a worker goroutine would
+// be undiagnosable. It is kept out of line so the formatting stays off
+// Push's and Append's inlined fast paths.
+//
+//go:noinline
+func (f *Frontier) overflow(v int32) {
+	panic(fmt.Sprintf("concurrent: Frontier capacity %d exceeded pushing vertex %d (a vertex was enqueued more than once?)", len(f.buf), v))
 }
 
 // Slice returns the current contents. Callers must not Push concurrently

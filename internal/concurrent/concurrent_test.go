@@ -113,6 +113,89 @@ func TestFrontierPushOverflowPanics(t *testing.T) {
 	f.Push(9)
 }
 
+// Append from many goroutines in blocks of varying size must land every
+// element exactly once: the frontier is a permutation of what was
+// appended, and each block stays contiguous and in order.
+func TestFrontierAppendConcurrent(t *testing.T) {
+	const n, writers = 20000, 8
+	f := NewFrontier(n)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var block []int32
+			for i := w; i < n; i += writers {
+				block = append(block, int32(i))
+				if len(block) == 1+i%37 {
+					f.Append(block)
+					block = block[:0]
+				}
+			}
+			f.Append(block)
+		}(w)
+	}
+	wg.Wait()
+	if f.Len() != n {
+		t.Fatalf("Len = %d, want %d", f.Len(), n)
+	}
+	seen := make([]bool, n)
+	last := make([]int32, writers)
+	for i := range last {
+		last[i] = -1
+	}
+	for _, v := range f.Slice() {
+		if seen[v] {
+			t.Fatalf("duplicate %d", v)
+		}
+		seen[v] = true
+		// One writer's values rise in append order, whatever the
+		// interleaving of blocks from different writers.
+		if w := v % writers; v < last[w] {
+			t.Fatalf("writer %d: %d after %d", w, v, last[w])
+		}
+		last[v%writers] = v
+	}
+}
+
+func TestFrontierAppendEmptyIsNoop(t *testing.T) {
+	f := NewFrontier(2)
+	f.Push(4)
+	f.Append(nil)
+	f.Append([]int32{})
+	if got := f.Slice(); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("after empty appends Slice = %v, want [4]", got)
+	}
+	f.Append([]int32{5})
+	// A full frontier accepts an empty block too.
+	f.Append(nil)
+	if got := f.Slice(); len(got) != 2 || got[1] != 5 {
+		t.Fatalf("Slice = %v, want [4 5]", got)
+	}
+}
+
+func TestFrontierAppendOverflowPanics(t *testing.T) {
+	f := NewFrontier(3)
+	f.Append([]int32{7})
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Append beyond capacity did not panic")
+		}
+		msg, ok := r.(string)
+		if !ok {
+			t.Fatalf("panic value %T, want descriptive string", r)
+		}
+		// The message is Push's, naming the first vertex that did not fit.
+		for _, frag := range []string{"Frontier capacity 3", "vertex 10", "enqueued more than once"} {
+			if !strings.Contains(msg, frag) {
+				t.Errorf("panic message %q missing %q", msg, frag)
+			}
+		}
+	}()
+	f.Append([]int32{8, 9, 10, 11})
+}
+
 func TestBitmapAppendSet(t *testing.T) {
 	b := NewBitmap(200)
 	want := []int32{0, 1, 63, 64, 65, 127, 128, 199}

@@ -50,6 +50,7 @@ type Engine struct {
 	cur, next *concurrent.Frontier
 	bits      [2]*concurrent.HierBitmap
 	sparse    []int32    // scratch for bitmap sparsification at pull exit
+	lanes     []pushLane // per-worker push-round queue buffers (traverse.go)
 	prt       *partState // partitioned-mode scaffolding (partitioned.go)
 }
 

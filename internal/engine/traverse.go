@@ -74,9 +74,7 @@ func (e *Engine) Traverse(spec *Spec, srcs ...int32) Stats {
 		panic("engine: Spec.Dist length does not match view")
 	}
 	cur, next := e.frontiers()
-	for _, s := range srcs {
-		cur.Push(s)
-	}
+	cur.Append(srcs)
 	st := Stats{Reached: int64(len(srcs))}
 	switch {
 	case e.Tracked():
@@ -121,18 +119,20 @@ func (e *Engine) nativeTraverse(spec *Spec, cur, next *concurrent.Frontier, st *
 	// edgesLeft approximates the unexplored-edge count driving the
 	// push->pull switch; scout is the out-degree sum of the live frontier.
 	edgesLeft := vw.EdgeTotal()
-	scout := int64(0)
-	for _, s := range cur.Slice() {
-		scout += int64(vw.Degree(s))
-	}
+	scout := int64(-1) // -1: cur's degree sum not yet taken
 	round := int32(1)
 	for cur.Len() > 0 {
-		if !spec.NoPull && scout > edgesLeft/Alpha {
-			e.pullPhase(spec, cur, &round, st)
+		if scout < 0 {
+			// The sources and a pull phase's exit frontier arrive
+			// unsummed; push rounds return the sum of what they produce.
 			scout = 0
 			for _, s := range cur.Slice() {
 				scout += int64(vw.Degree(s))
 			}
+		}
+		if !spec.NoPull && scout > edgesLeft/Alpha {
+			e.pullPhase(spec, cur, &round, st)
+			scout = -1
 			edgesLeft = 0 // pull scanned the remainder; stay in push from here
 			continue
 		}
@@ -150,37 +150,104 @@ func (e *Engine) nativeTraverse(spec *Spec, cur, next *concurrent.Frontier, st *
 	}
 }
 
+// Push rounds split the frontier into pushGrain-item chunks that workers
+// claim from a shared cursor. Each worker queues its claims in its own lane
+// buffer of pushBlock slots and flushes a full buffer into the next
+// frontier with one Frontier.Append, so a round costs one contended atomic
+// per block of claims rather than one per claim (GAP's QueueBuffer).
+const (
+	pushGrain = 64
+	pushBlock = 1024
+)
+
+// pushLane is one worker's push-round scratch: buf holds claims not yet
+// flushed into the next frontier, and produced/scouted are the worker's
+// tallies for the round, summed by the coordinator after the barrier.
+// The padding keeps each lane's tallies off its neighbours' cache lines.
+type pushLane struct {
+	buf               []int32
+	produced, scouted int64
+	_                 [88]byte
+}
+
 // pushRound scatters from the sparse frontier: each worker claims
 // unvisited neighbors with an atomic CAS on Dist, which makes the claim
-// the sole arbiter — no racy reads of shared workload state. Returns the
-// number of vertices produced and the sum of their degrees (scout count).
-func (e *Engine) pushRound(spec *Spec, cur, next *concurrent.Frontier, round int32) (int64, int64) {
+// the sole arbiter — no racy reads of shared workload state. A frontier of
+// at most one chunk runs inline on lane 0, so one worker reproduces the
+// sequential push order exactly. Returns the number of vertices produced
+// and the sum of their degrees (scout count).
+func (e *Engine) pushRound(spec *Spec, cur, next *concurrent.Frontier, round int32) (produced, scouted int64) {
+	fr := cur.Slice()
+	w := e.Workers()
+	if len(fr) <= pushGrain {
+		w = 1
+	}
+	lanes := e.lanes
+	if len(lanes) < w {
+		lanes = make([]pushLane, w)
+		for p := range lanes {
+			lanes[p].buf = make([]int32, 0, pushBlock)
+		}
+		e.lanes = lanes
+	}
+	var cursor atomic.Int64
+	concurrent.ParallelItems(w, w, 1, func(p int) {
+		e.pushWorker(p, spec, fr, &cursor, next, round)
+	})
+	// Every lane below w was written this round (ParallelItems runs each
+	// item); lanes above it may hold an earlier round's tallies.
+	for _, l := range lanes[:w] {
+		produced += l.produced
+		scouted += l.scouted
+	}
+	return produced, scouted
+}
+
+// pushWorker is worker p's share of a push round: it claims chunks of fr
+// from cursor until none are left, queues every vertex it claims in lane
+// p's buffer, flushes the buffer into next a block at a time and once more
+// at the end, and records its tallies in the lane.
+func (e *Engine) pushWorker(p int, spec *Spec, fr []int32, cursor *atomic.Int64, next *concurrent.Frontier, round int32) {
 	vw := e.vw
 	dist := spec.Dist
-	fr := cur.Slice()
-	var produced, scouted atomic.Int64
-	e.ForItems(len(fr), 64, func(k int) {
-		u := fr[k]
-		var p, s int64
-		for _, v := range vw.Adj(u) {
-			if atomic.LoadInt32(&dist[v]) < 0 && atomic.CompareAndSwapInt32(&dist[v], -1, round) {
-				if spec.Labels != nil {
-					spec.Labels[v] = spec.Label
+	lanes := e.lanes
+	buf := lanes[p].buf[:0]
+	var produced, scouted int64
+	for {
+		// lo < 0 only if the cursor wrapped; testing it also lets the
+		// compiler drop the bounds check on fr[lo:].
+		lo := int(cursor.Add(pushGrain)) - pushGrain
+		if lo < 0 || lo >= len(fr) {
+			break
+		}
+		chunk := fr[lo:]
+		if len(chunk) > pushGrain {
+			chunk = chunk[:pushGrain]
+		}
+		for _, u := range chunk {
+			for _, v := range vw.Adj(u) {
+				if atomic.LoadInt32(&dist[v]) < 0 && atomic.CompareAndSwapInt32(&dist[v], -1, round) {
+					if spec.Labels != nil {
+						spec.Labels[v] = spec.Label
+					}
+					if spec.Visit != nil {
+						spec.Visit(v, round)
+					}
+					if len(buf) == cap(buf) {
+						next.Append(buf)
+						buf = buf[:0]
+					}
+					buf = append(buf, v)
+					produced++
+					scouted += int64(vw.Degree(v))
 				}
-				if spec.Visit != nil {
-					spec.Visit(v, round)
-				}
-				next.Push(v)
-				p++
-				s += int64(vw.Degree(v))
 			}
 		}
-		if p != 0 {
-			produced.Add(p)
-			scouted.Add(s)
-		}
-	})
-	return produced.Load(), scouted.Load()
+	}
+	next.Append(buf)
+	lanes[p].buf = buf[:0]
+	lanes[p].produced = produced
+	lanes[p].scouted = scouted
 }
 
 // pullPhase runs bottom-up rounds: the sparse frontier is densified into a
@@ -205,7 +272,10 @@ func (e *Engine) pullPhase(spec *Spec, cur *concurrent.Frontier, round *int32, s
 	}
 	inOff, inNbr := e.vw.InOff, e.vw.InNbr
 	for {
-		nextBits.Clear()
+		// Per-round copies: the closure captures these by value, where the
+		// swapped loop variables would have to move to the heap.
+		cb, nb := curBits, nextBits
+		nb.Clear()
 		var produced atomic.Int64
 		r := *round
 		e.ForChunks(func(lo, hi int) {
@@ -229,7 +299,7 @@ func (e *Engine) pullPhase(spec *Spec, cur *concurrent.Frontier, round *int32, s
 				row := inNbr[off[dv]:off[dv+1]]
 				claimed := false
 				for _, u := range row {
-					if curBits.Test(int(u)) {
+					if cb.Test(int(u)) {
 						claimed = true
 						break
 					}
@@ -245,7 +315,7 @@ func (e *Engine) pullPhase(spec *Spec, cur *concurrent.Frontier, round *int32, s
 				if spec.Visit != nil {
 					spec.Visit(property.Index32(v), r)
 				}
-				nextBits.Set(v)
+				nb.Set(v)
 				p++
 			}
 			if p != 0 {
@@ -273,7 +343,5 @@ func (e *Engine) pullPhase(spec *Spec, cur *concurrent.Frontier, round *int32, s
 	// of allocating a fresh sparse list.
 	cur.Reset()
 	e.sparse = curBits.AppendSet(e.sparse[:0])
-	for _, v := range e.sparse {
-		cur.Push(v)
-	}
+	cur.Append(e.sparse)
 }

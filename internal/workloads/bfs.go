@@ -14,9 +14,11 @@ const BFSLevelField = "bfs.level"
 // It is the suite's most-used workload (10 of the 21 use cases, Fig 4).
 //
 // Both modes run on the unified frontier engine. Native runs
-// direction-optimize over the view's index-resolved adjacency; the
-// instrumented run supplies the per-edge framework walk as the engine's
-// TrackedVisit body, reproducing the pre-engine event stream exactly.
+// direction-optimize over the view's index-resolved adjacency and publish
+// every vertex's level (-1 when unreached) in one parallel pass after the
+// kernel; the instrumented run resets the property up front and supplies
+// the per-edge framework walk as the engine's TrackedVisit body,
+// reproducing the pre-engine event stream exactly.
 func BFS(g *property.Graph, opt Options) (*Result, error) {
 	vw := view(g, &opt)
 	n := vw.Len()
@@ -25,14 +27,16 @@ func BFS(g *property.Graph, opt Options) (*Result, error) {
 	}
 	lvl := g.EnsureField(BFSLevelField)
 	idxSlot := g.EnsureField(property.SysIndexField)
-	for _, v := range vw.Verts {
-		v.SetPropRaw(lvl, -1)
+	t := g.Tracker()
+	if t != nil {
+		for _, v := range vw.Verts {
+			v.SetPropRaw(lvl, -1)
+		}
 	}
 	srcIdx, err := pick(vw, opt)
 	if err != nil {
 		return nil, err
 	}
-	t := g.Tracker()
 	eng := newEngine(g, vw, opt.Workers, opt.engineSink)
 	qSim := newSimArr(g, n, 4)
 
@@ -41,7 +45,9 @@ func BFS(g *property.Graph, opt Options) (*Result, error) {
 		dist[i] = -1
 	}
 	dist[srcIdx] = 0
-	g.SetProp(vw.Verts[srcIdx], lvl, 0)
+	if t != nil {
+		g.SetProp(vw.Verts[srcIdx], lvl, 0)
+	}
 	qSim.St(0)
 
 	var st engine.Stats
@@ -74,10 +80,9 @@ func BFS(g *property.Graph, opt Options) (*Result, error) {
 		}, srcIdx)
 	} else {
 		st = eng.Traverse(&engine.Spec{Dist: dist}, srcIdx)
+		// Publication: one write per vertex, its level or -1.
 		eng.ForVertices(256, func(i int) {
-			if d := dist[i]; d > 0 {
-				vw.Verts[i].SetPropRaw(lvl, float64(d))
-			}
+			vw.Verts[i].SetPropRaw(lvl, float64(dist[i]))
 		})
 	}
 

@@ -16,7 +16,9 @@ const CCompField = "cc.label"
 // undirected graphs mirrored).
 //
 // The per-call Dist array doubles as the visited set across components, so
-// each engine traversal claims only unlabeled vertices.
+// each engine traversal claims only unlabeled vertices. Native runs write
+// the property once per vertex after the last traversal; instrumented runs
+// reset it up front and write it as each vertex is labeled.
 func CComp(g *property.Graph, opt Options) (*Result, error) {
 	vw := view(g, &opt)
 	n := vw.Len()
@@ -25,10 +27,12 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 	}
 	lbl := g.EnsureField(CCompField)
 	idxSlot := g.EnsureField(property.SysIndexField)
-	for _, v := range vw.Verts {
-		v.SetPropRaw(lbl, -1)
-	}
 	t := g.Tracker()
+	if t != nil {
+		for _, v := range vw.Verts {
+			v.SetPropRaw(lbl, -1)
+		}
+	}
 	eng := newEngine(g, vw, opt.Workers, opt.engineSink)
 	qSim := newSimArr(g, n, 4)
 
@@ -55,7 +59,9 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 		comps++
 		dist[s] = 0
 		labels[s] = label
-		g.SetProp(vw.Verts[s], lbl, float64(label))
+		if t != nil {
+			g.SetProp(vw.Verts[s], lbl, float64(label))
+		}
 
 		spec := engine.Spec{Dist: dist, Label: label, Labels: labels}
 		if t != nil {
@@ -91,6 +97,7 @@ func CComp(g *property.Graph, opt Options) (*Result, error) {
 		boundarySent += st.BoundarySent
 	}
 	if t == nil {
+		// Publication: one write per vertex (every vertex is labeled).
 		eng.ForVertices(256, func(i int) {
 			vw.Verts[i].SetPropRaw(lbl, float64(labels[i]))
 		})

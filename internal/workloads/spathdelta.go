@@ -26,7 +26,9 @@ import (
 // bucket shard — no shared bucket lock — and the shards are merged into
 // one scratch work list at every bucket boundary. The final distances
 // (the min over path sums, schedule-independent) match the framework
-// variant exactly. Instrumented runs keep the original framework walk
+// variant exactly. Native runs publish every vertex's distance (+Inf
+// when unreached) in one parallel pass after the kernel. Instrumented
+// runs keep the up-front property reset, the original framework walk
 // and its mutex-arbitrated distance array, so the simulated event
 // stream is unchanged.
 //
@@ -45,16 +47,18 @@ func SPathDelta(g *property.Graph, opt Options) (*Result, error) {
 	distF := g.EnsureField(SPathDistField)
 	idxSlot := g.EnsureField(property.SysIndexField)
 	inf := math.Inf(1)
-	for _, v := range vw.Verts {
-		v.SetPropRaw(distF, inf)
+	t := g.Tracker()
+	tracked := t != nil
+	if tracked {
+		for _, v := range vw.Verts {
+			v.SetPropRaw(distF, inf)
+		}
 	}
 	srcIdx, err := pick(vw, opt)
 	if err != nil {
 		return nil, err
 	}
 	w := workers(g, opt)
-	t := g.Tracker()
-	tracked := t != nil
 
 	delta := opt.Delta
 	if delta <= 0 {
@@ -79,18 +83,9 @@ func SPathDelta(g *property.Graph, opt Options) (*Result, error) {
 	// bounded runs keep the flat kernel.
 	if plan := vw.Partitions(); plan != nil && !tracked && opt.MaxIters <= 0 {
 		dist[srcIdx] = 0
-		g.SetProp(vw.Verts[srcIdx], distF, 0)
 		eng := newEngine(g, vw, w, opt.engineSink)
 		pst := eng.PartitionedSSSP(dist, delta, srcIdx)
-		settled := int64(0)
-		sum := 0.0
-		for i := range dist {
-			if !math.IsInf(dist[i], 1) {
-				settled++
-				sum += dist[i]
-				vw.Verts[i].SetPropRaw(distF, dist[i])
-			}
-		}
+		settled, sum := publishDist(vw, dist, distF, w)
 		res := &Result{
 			Workload: "SPathDelta",
 			Visited:  settled,
@@ -110,16 +105,7 @@ func SPathDelta(g *property.Graph, opt Options) (*Result, error) {
 	}
 
 	bucketsDone, relaxed := casSPathDelta(vw, dist, delta, srcIdx, w, opt.MaxIters)
-
-	settled := int64(0)
-	sum := 0.0
-	for i := range dist {
-		if !math.IsInf(dist[i], 1) {
-			settled++
-			sum += dist[i]
-			vw.Verts[i].SetPropRaw(distF, dist[i])
-		}
-	}
+	settled, sum := publishDist(vw, dist, distF, w)
 	return &Result{
 		Workload: "SPathDelta",
 		Visited:  settled,
@@ -130,6 +116,23 @@ func SPathDelta(g *property.Graph, opt Options) (*Result, error) {
 			"relaxed": float64(relaxed),
 		},
 	}, nil
+}
+
+// publishDist is the native runs' publication pass: it writes every
+// vertex's distance (+Inf when unreached) into distF in one parallel pass,
+// then returns the settled count and the distance sum, taken in index
+// order so the checksum does not depend on the worker count.
+func publishDist(vw *property.View, dist []float64, distF, w int) (settled int64, sum float64) {
+	concurrent.ParallelItems(len(dist), w, 256, func(i int) {
+		vw.Verts[i].SetPropRaw(distF, dist[i])
+	})
+	for _, d := range dist {
+		if !math.IsInf(d, 1) {
+			settled++
+			sum += d
+		}
+	}
+	return settled, sum
 }
 
 // sampleDelta estimates the mean edge weight with a deterministic
@@ -251,14 +254,21 @@ func casMin(addr *uint64, nd float64) bool {
 	}
 }
 
+// relaxGrain is the largest merged work list casSPathDelta relaxes
+// inline, on shard 0, instead of fanning out: on sparse high-diameter
+// graphs (a road SSSP drains ~1,900 buckets) most lists hold a handful of
+// vertices, and spawning w goroutines for them costs more than the
+// relaxations. It matches the engine's push-round chunk.
+const relaxGrain = 64
+
 // casSPathDelta is the native flat delta-stepping kernel: tentative
 // distances live in a uint64 bit-pattern array arbitrated by casMin,
 // and each worker buckets its winning relaxations into a private shard.
 // At every bucket boundary the shards merge into one reused scratch
 // list; re-relaxations within the bucket (light edges) loop until the
 // bucket drains, exactly like the classic formulation.
-func casSPathDelta(vw *property.View, dist []float64, delta float64, srcIdx int32, w, maxIters int) (bucketsDone int, relaxed int64) {
-	w = concurrent.Workers(w)
+func casSPathDelta(vw *property.View, dist []float64, delta float64, srcIdx int32, workers, maxIters int) (bucketsDone int, relaxed int64) {
+	w := concurrent.Workers(workers)
 	db := make([]uint64, len(dist))
 	for i := range db {
 		db[i] = math.Float64bits(dist[i])
@@ -300,9 +310,15 @@ func casSPathDelta(vw *property.View, dist []float64, delta float64, srcIdx int3
 				bucketsDone++
 				counted = true
 			}
-			wk := work
+			if len(work) <= relaxGrain {
+				ss.relaxChunk(vw, db, work, b, delta, 0, 1)
+				continue
+			}
+			// Stable copies, so the closure captures values rather than
+			// moving the loop variables to the heap.
+			wk, bk := work, b
 			concurrent.ParallelItems(w, w, 1, func(p int) {
-				ss.relaxChunk(vw, db, wk, b, delta, p, w)
+				ss.relaxChunk(vw, db, wk, bk, delta, p, w)
 			})
 		}
 	}

@@ -16,8 +16,12 @@ import (
 
 // legacyBFS is the seed implementation's native path: a level-synchronous
 // frontier where every edge goes through FindVertex (hash lookup) and
-// property reads resolve the neighbor's index.
-func legacyBFS(g *property.Graph, vw *property.View) int64 {
+// property reads resolve the neighbor's index. workers follows the suite
+// rule (<= 0 selects GOMAXPROCS). With more than one worker the loop's
+// unsynchronized GetProp/SetProp on a neighbor's level is a data race, as
+// it was in the seed; the benches measure it that way, and race-checked
+// callers pass 1.
+func legacyBFS(g *property.Graph, vw *property.View, workers int) int64 {
 	n := vw.Len()
 	lvl := g.EnsureField(workloads.BFSLevelField)
 	idxSlot := g.EnsureField(property.SysIndexField)
@@ -40,7 +44,7 @@ func legacyBFS(g *property.Graph, vw *property.View) int64 {
 		depth++
 		levelVal := float64(depth)
 		fr := cur.Slice()
-		concurrent.ParallelItems(len(fr), 0, 64, func(k int) {
+		concurrent.ParallelItems(len(fr), workers, 64, func(k int) {
 			u := vw.Verts[fr[k]]
 			g.Neighbors(u, func(_ int, e *property.Edge) bool {
 				nb := g.FindVertex(e.To)
@@ -66,8 +70,9 @@ func legacyBFS(g *property.Graph, vw *property.View) int64 {
 }
 
 // legacyCComp is the seed implementation's native path: successive
-// framework-walk BFS traversals, one per component.
-func legacyCComp(g *property.Graph, vw *property.View) int {
+// framework-walk BFS traversals, one per component. workers is as for
+// legacyBFS.
+func legacyCComp(g *property.Graph, vw *property.View, workers int) int {
 	n := vw.Len()
 	lbl := g.EnsureField(workloads.CCompField)
 	idxSlot := g.EnsureField(property.SysIndexField)
@@ -91,7 +96,7 @@ func legacyCComp(g *property.Graph, vw *property.View) int {
 		cur.Push(int32(s))
 		for cur.Len() > 0 {
 			fr := cur.Slice()
-			concurrent.ParallelItems(len(fr), 0, 64, func(k int) {
+			concurrent.ParallelItems(len(fr), workers, 64, func(k int) {
 				u := vw.Verts[fr[k]]
 				g.Neighbors(u, func(_ int, e *property.Edge) bool {
 					nb := g.FindVertex(e.To)
@@ -121,7 +126,7 @@ func BenchmarkLegacyBFS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		legacyBFS(g, vw)
+		legacyBFS(g, vw, 0)
 	}
 	b.SetBytes(int64(g.EdgeCount()) * 2 * 24)
 }
@@ -131,20 +136,22 @@ func BenchmarkLegacyCComp(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		legacyCComp(g, vw)
+		legacyCComp(g, vw, 0)
 	}
 	b.SetBytes(int64(g.EdgeCount()) * 2 * 24)
 }
 
 // TestLegacyEngineAgreement pins the engine-backed workloads to the legacy
 // loops' results on the benchmark graph, so the Legacy benches above stay
-// honest comparisons.
+// honest comparisons. The legacy reference runs on one worker, which keeps
+// its property reads and writes race-free under -race; the engine side
+// runs at GOMAXPROCS.
 func TestLegacyEngineAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-graph agreement is not a -short test")
 	}
 	g, vw := nativeGraph(nil)
-	reached := legacyBFS(g, vw)
+	reached := legacyBFS(g, vw, 1)
 	res, err := workloads.BFS(g, workloads.Options{View: vw})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +159,7 @@ func TestLegacyEngineAgreement(t *testing.T) {
 	if res.Visited != reached {
 		t.Errorf("engine BFS visited %d, legacy %d", res.Visited, reached)
 	}
-	comps := legacyCComp(g, vw)
+	comps := legacyCComp(g, vw, 1)
 	cres, err := workloads.CComp(g, workloads.Options{View: vw})
 	if err != nil {
 		t.Fatal(err)
