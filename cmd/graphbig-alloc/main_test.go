@@ -57,9 +57,9 @@ func TestDiffFlagsSyntheticNewEscape(t *testing.T) {
 		"internal/order/bfsorder.go":     1,
 	}
 	got := map[string]int{
-		"internal/engine/partitioned.go": 3, // synthetic new escape
-		"internal/engine/sssp.go":        3,
-		"internal/order/bfsorder.go":     0,
+		"internal/engine/partitioned.go":  3, // synthetic new escape
+		"internal/engine/sssp.go":         3,
+		"internal/order/bfsorder.go":      0,
 		"internal/concurrent/frontier.go": 1, // new file: also growth
 	}
 	regressed, improved := diff(base, got)

@@ -54,8 +54,8 @@ func SymBound(sym types.Object, k int64, isLen bool) Bound {
 	return Bound{K: k, Sym: sym, IsLen: isLen}
 }
 
-func (b Bound) isFinite() bool  { return b.Inf == 0 }
-func (b Bound) isConst() bool   { return b.Inf == 0 && b.Sym == nil }
+func (b Bound) isFinite() bool           { return b.Inf == 0 }
+func (b Bound) isConst() bool            { return b.Inf == 0 && b.Sym == nil }
 func (b Bound) refs(o types.Object) bool { return b.Sym != nil && b.Sym == o }
 
 // AddK shifts a finite endpoint by k, saturating to the matching

@@ -85,8 +85,8 @@ func TestIntervalArith(t *testing.T) {
 
 func TestSymbolicBounds(t *testing.T) {
 	o := symObjForTest(t, "vs")
-	lenB := SymBound(o, 0, true)     // len(vs)
-	lenM1 := SymBound(o, -1, true)   // len(vs)-1
+	lenB := SymBound(o, 0, true)   // len(vs)
+	lenM1 := SymBound(o, -1, true) // len(vs)-1
 	symIv := Interval{Lo: ConstBound(0), Hi: lenM1}
 
 	if !leqBound(lenM1, lenB) {

@@ -131,7 +131,7 @@ type checker struct {
 	sums map[*analysis.CGNode]*effects
 
 	// collection sinks for the current evaluation:
-	drains   tokens          // entryDrains being collected (nil = off)
+	drains   tokens            // entryDrains being collected (nil = off)
 	reported map[ast.Node]bool // de-dup for the reporting pass (nil = off)
 }
 

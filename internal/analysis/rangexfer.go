@@ -344,11 +344,11 @@ func (fa *funcAnalysis) stepNode(env *Env, n ast.Node) {
 func (fa *funcAnalysis) applyAssign(env *Env, s *ast.AssignStmt) {
 	if len(s.Lhs) == len(s.Rhs) && (s.Tok == token.ASSIGN || s.Tok == token.DEFINE) {
 		type update struct {
-			o   types.Object
-			iv  Interval
-			ln  Interval
+			o            types.Object
+			iv           Interval
+			ln           Interval
 			hasIv, hasLn bool
-			lenLink types.Object // rhs was len(lenLink)
+			lenLink      types.Object // rhs was len(lenLink)
 		}
 		ups := make([]update, 0, len(s.Lhs))
 		for i, l := range s.Lhs {

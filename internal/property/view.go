@@ -34,7 +34,13 @@ import (
 // the memory layout the engine streams differs (DESIGN.md §8).
 type View struct {
 	Verts []*Vertex
-	pos   map[VertexID]int32
+
+	// lut maps a VertexID to its dense index, -1 for IDs not in the view,
+	// whenever the live IDs are dense (maxID < denseIDLimit(n)); IDs at or
+	// past len(lut) are absent. pos is the map that replaces it on sparse
+	// IDs. Exactly one of the two is non-nil.
+	lut []int32
+	pos map[VertexID]int32
 
 	// NbrOff has one entry per vertex plus a terminator: the out-neighbors
 	// of dense index i occupy Nbr[NbrOff[i]:NbrOff[i+1]], in adjacency-list
@@ -89,8 +95,8 @@ type ViewOpts struct {
 }
 
 // View snapshots the graph and index-resolves its adjacency with default
-// options: ID-sorted numbering, parallel construction. It is an
-// O(V log V + E) operation.
+// options: ID-sorted numbering, parallel construction. It is an O(V + E)
+// operation on dense IDs and O(V log V + E) on sparse ones.
 func (g *Graph) View() *View { return g.ViewWith(ViewOpts{}) }
 
 // ViewWith snapshots the graph with explicit construction options. The
@@ -101,20 +107,29 @@ func (g *Graph) ViewWith(opt ViewOpts) *View {
 	if g.trk != nil {
 		workers = 1
 	}
-	vs := g.gather(workers)
-	sortVertsByID(vs, workers)
-	idxSlot := g.EnsureField(SysIndexField)
-	pos := make(map[VertexID]int32, len(vs))
-	for i, v := range vs {
-		pos[v.ID] = Index32(i)
+	parts, maxID := g.gather(workers)
+	n := 0
+	for _, p := range parts {
+		n += len(p)
 	}
-	vw := &View{Verts: vs, pos: pos}
+	idxSlot := g.EnsureField(SysIndexField)
+	vw := &View{}
+	if uint64(maxID) < denseIDLimit(n) {
+		vw.Verts, vw.lut = placeByID(parts, maxID, workers)
+	} else {
+		vs := make([]*Vertex, 0, n)
+		for _, p := range parts {
+			vs = append(vs, p...)
+		}
+		sortVertsByID(vs, workers)
+		vw.Verts, vw.pos = vs, posMap(vs)
+	}
 	vw.resolve(g.directed, workers)
 	if opt.Order != nil {
-		vw.applyOrder(opt.Order(len(vs), vw.NbrOff, vw.Nbr), g.directed, workers)
+		vw.applyOrder(opt.Order(n, vw.NbrOff, vw.Nbr), g.directed, workers)
 	}
 	if opt.Partitions > 0 {
-		vw.parts = partition.New(len(vs), vw.NbrOff, vw.Nbr, vw.InOff, vw.InNbr,
+		vw.parts = partition.New(n, vw.NbrOff, vw.Nbr, vw.InOff, vw.InNbr,
 			opt.Partitions, opt.PartitionMode)
 	}
 	g.publishIndex(vw, idxSlot, workers)
@@ -141,65 +156,48 @@ func (g *Graph) ViewReference() *View {
 	}
 	sort.Slice(vs, func(i, j int) bool { return vs[i].ID < vs[j].ID })
 	idxSlot := g.EnsureField(SysIndexField)
-	pos := make(map[VertexID]int32, len(vs))
-	for i, v := range vs {
-		pos[v.ID] = Index32(i)
-	}
-	vw := &View{Verts: vs, pos: pos}
+	vw := &View{Verts: vs, pos: posMap(vs)}
 	vw.resolveReference(g.directed)
 	g.publishIndex(vw, idxSlot, 1)
 	return vw
 }
 
-// gather snapshots the live vertices of every shard under its read lock.
-// Shard-parallel: each worker drains a contiguous range of shards into its
-// own bucket, then buckets are concatenated in shard order, so the result
-// matches the serial shard-order walk exactly.
-func (g *Graph) gather(workers int) []*Vertex {
-	ns := len(g.shards)
-	if workers <= 1 {
-		vs := make([]*Vertex, 0, g.VertexCount())
-		for i := 0; i < ns; i++ {
-			vs = g.gatherShard(i, vs)
-		}
-		return vs
-	}
-	bounds := concurrent.ChunkBounds(ns, workers)
+// gather snapshots the live vertices of every shard under its read lock
+// and returns the largest live ID (0 when there is none). Shard-parallel:
+// each worker drains a contiguous range of shards into its own part, so
+// the parts concatenated in worker order match the serial shard-order
+// walk exactly.
+func (g *Graph) gather(workers int) ([][]*Vertex, VertexID) {
+	bounds := concurrent.ChunkBounds(len(g.shards), workers)
 	parts := make([][]*Vertex, len(bounds)-1)
-	var wg sync.WaitGroup
-	for w := 0; w < len(parts); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			part := make([]*Vertex, 0, g.VertexCount()/workers+8)
-			for i := bounds[w]; i < bounds[w+1]; i++ {
-				part = g.gatherShard(i, part)
-			}
-			parts[w] = part
-		}(w)
+	maxIDs := make([]VertexID, len(parts))
+	per := 8
+	if k := len(parts); k > 0 {
+		per += g.VertexCount() / k
 	}
-	wg.Wait()
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	vs := make([]*Vertex, 0, total)
-	for _, p := range parts {
-		vs = append(vs, p...)
-	}
-	return vs
+	concurrent.ParallelItems(len(parts), workers, 1, func(w int) {
+		part, m := make([]*Vertex, 0, per), VertexID(0)
+		for i := bounds[w]; i < bounds[w+1]; i++ {
+			part, m = g.gatherShard(i, part, m)
+		}
+		parts[w], maxIDs[w] = part, m
+	})
+	return parts, slices.Max(maxIDs)
 }
 
-func (g *Graph) gatherShard(i int, dst []*Vertex) []*Vertex {
+// gatherShard appends shard i's live vertices to dst and folds their IDs
+// into the running maximum m.
+func (g *Graph) gatherShard(i int, dst []*Vertex, m VertexID) ([]*Vertex, VertexID) {
 	sh := &g.shards[i]
 	sh.mu.RLock()
 	for _, v := range sh.verts {
 		if !v.dead {
 			dst = append(dst, v)
+			m = max(m, v.ID)
 		}
 	}
 	sh.mu.RUnlock()
-	return dst
+	return dst, m
 }
 
 // sortVertsByID sorts the snapshot by VertexID. Above a size floor it
@@ -272,10 +270,75 @@ func mergeVerts(dst, a, b []*Vertex) {
 	}
 }
 
-// denseIDLimit bounds the lookup-table fast path: when the maximum live
-// VertexID fits in ~4n slots the per-edge pos-map probes of resolution are
-// replaced with a flat []int32 table. Generated datasets have dense IDs,
-// so resolution of the hot path is a pure array walk.
+// placeByID orders the snapshot without comparisons when its IDs are
+// dense: every live vertex is scattered to slot[v.ID], then one parallel
+// compaction over contiguous ID chunks (count, prefix, fill) writes Verts
+// in ascending ID order and lut[id] = its index, or -1 for an absent ID.
+// The result equals sortVertsByID followed by posMap, for any worker count.
+func placeByID(parts [][]*Vertex, maxID VertexID, workers int) ([]*Vertex, []int32) {
+	m := int(maxID) + 1
+	slot := make([]*Vertex, m)
+	// Waived, not proven: the scatter is disjoint because live vertex IDs
+	// are distinct (each shard's index map holds one live vertex per ID)
+	// — a fact about the parts' contents. The sharedwrite ownership
+	// lattice tracks index-derived slot ownership, not value-level
+	// properties of what is stored, so the waiver stays with its
+	// differential test as the oracle.
+	concurrent.ParallelItems(len(parts), workers, 1, func(w int) {
+		for _, v := range parts[w] {
+			slot[v.ID] = v //vet:sharedwrite live vertex IDs are distinct, so no two vertices share a slot; pinned by TestViewParallelMatchesReference
+		}
+	})
+	cb := concurrent.ChunkBounds(m, workers)
+	k := len(cb) - 1
+	cnt := make([]int, k+1)
+	concurrent.ParallelItems(k, workers, 1, func(w int) {
+		c := 0
+		for _, v := range slot[cb[w]:cb[w+1]] {
+			if v != nil {
+				c++
+			}
+		}
+		cnt[w+1] = c
+	})
+	for w := 0; w < k; w++ {
+		cnt[w+1] += cnt[w]
+	}
+	vs := make([]*Vertex, cnt[k])
+	lut := make([]int32, m)
+	concurrent.ParallelItems(k, workers, 1, func(w int) {
+		// Chunk w owns IDs [cb[w], cb[w+1]) and, by the prefix, the
+		// indices [cnt[w], cnt[w+1]) its live IDs take.
+		dst := vs[cnt[w]:cnt[w+1]]
+		ids := lut[cb[w]:cb[w+1]]
+		base, p := cnt[w], 0
+		for j, v := range slot[cb[w]:cb[w+1]] {
+			if v == nil {
+				ids[j] = -1
+				continue
+			}
+			dst[p] = v
+			ids[j] = Index32(base + p)
+			p++
+		}
+	})
+	return vs, lut
+}
+
+// posMap is the sparse-ID index: a map from each snapshot vertex's ID to
+// its position in vs.
+func posMap(vs []*Vertex) map[VertexID]int32 {
+	pos := make(map[VertexID]int32, len(vs))
+	for i, v := range vs {
+		pos[v.ID] = Index32(i)
+	}
+	return pos
+}
+
+// denseIDLimit bounds the dense-ID path: when the maximum live VertexID
+// fits in ~4n slots the snapshot is placed by ID and indexed by a flat
+// []int32 table instead of sorted and indexed by a map. Generated datasets
+// and SNAP inputs have dense IDs, so the hot path is pure array walks.
 func denseIDLimit(n int) uint64 { return uint64(4*n) + 1024 }
 
 // resolve builds the flat adjacency arrays from the snapshot. The output
@@ -285,49 +348,13 @@ func denseIDLimit(n int) uint64 { return uint64(4*n) + 1024 }
 // workers ever write the same element.
 func (vw *View) resolve(directed bool, workers int) {
 	n := len(vw.Verts)
-	var lut []int32
-	if n > 0 {
-		if maxID := uint64(vw.Verts[n-1].ID); maxID < denseIDLimit(n) {
-			lut = make([]int32, maxID+1)
-			concurrent.ParallelRange(len(lut), workers, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					lut[i] = -1
-				}
-			})
-			// Waived, not proven: the disjointness here rests on Verts IDs
-			// being strictly ascending — a data-monotonicity fact about the
-			// slice's contents. The sharedwrite ownership lattice tracks
-			// index-derived slot ownership (who may write element i), not
-			// value-level properties of what is stored at i, so no lattice
-			// refinement can discharge this site; the waiver stays with its
-			// differential test as the oracle.
-			concurrent.ParallelRange(n, workers, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					lut[vw.Verts[i].ID] = Index32(i) //vet:sharedwrite Verts IDs are strictly ascending, so distinct i map to distinct lut slots; pinned by TestViewParallelMatchesReference
-				}
-			})
-		}
-	}
-	indexOf := func(id VertexID) int32 {
-		if lut != nil {
-			if uint64(id) < uint64(len(lut)) {
-				return lut[id]
-			}
-			return -1
-		}
-		if j, ok := vw.pos[id]; ok {
-			return j
-		}
-		return -1
-	}
-
 	off := make([]int32, n+1)
 	concurrent.ParallelRange(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			d := int32(0)
 			out := vw.Verts[i].Out
 			for k := range out {
-				if indexOf(out[k].To) >= 0 {
+				if vw.IndexOf(out[k].To) >= 0 {
 					d++
 				}
 			}
@@ -348,7 +375,7 @@ func (vw *View) resolve(directed bool, workers int) {
 			p := 0
 			out := vw.Verts[i].Out
 			for k := range out {
-				if j := indexOf(out[k].To); j >= 0 {
+				if j := vw.IndexOf(out[k].To); j >= 0 {
 					row[p] = j
 					wrow[p] = out[k].Weight
 					p++
@@ -507,9 +534,10 @@ func reverseCSRSerial(n int, off, nbr []int32) (inOff, inNbr []int32) {
 }
 
 // applyOrder composes perm (perm[new] = old) into the view: Verts, the
-// forward CSR and pos move together, and the reverse arrays are rebuilt so
-// in-neighbors stay ascending in the new index space. Within-vertex
-// neighbor order is preserved under relabeling.
+// forward CSR and the ID index move together (lut is remapped through the
+// inverse permutation in place, pos is rebuilt), and the reverse arrays
+// are rebuilt so in-neighbors stay ascending in the new index space.
+// Within-vertex neighbor order is preserved under relabeling.
 func (vw *View) applyOrder(perm []int32, directed bool, workers int) {
 	n := len(vw.Verts)
 	if len(perm) != n {
@@ -552,11 +580,18 @@ func (vw *View) applyOrder(perm []int32, directed bool, workers int) {
 			}
 		}
 	})
-	pos := make(map[VertexID]int32, n)
-	for i, v := range verts {
-		pos[v.ID] = Index32(i)
+	if lut := vw.lut; lut != nil {
+		concurrent.ParallelRange(len(lut), workers, func(lo, hi int) {
+			for id := lo; id < hi; id++ {
+				if o := lut[id]; o >= 0 {
+					lut[id] = inv[o]
+				}
+			}
+		})
+	} else {
+		vw.pos = posMap(verts)
 	}
-	vw.Verts, vw.NbrOff, vw.Nbr, vw.NbrW, vw.pos = verts, off, nbr, wts, pos
+	vw.Verts, vw.NbrOff, vw.Nbr, vw.NbrW = verts, off, nbr, wts
 	if !directed {
 		vw.InOff, vw.InNbr = off, nbr
 		return
@@ -576,7 +611,7 @@ func (g *Graph) publishIndex(vw *View, idxSlot, workers int) {
 				if v.dead {
 					continue
 				}
-				if i, ok := vw.pos[v.ID]; ok {
+				if i := vw.IndexOf(v.ID); i >= 0 {
 					v.props[idxSlot] = float64(i)
 				}
 			}
@@ -587,6 +622,12 @@ func (g *Graph) publishIndex(vw *View, idxSlot, workers int) {
 
 // IndexOf returns the dense index of id, or -1.
 func (vw *View) IndexOf(id VertexID) int32 {
+	if vw.lut != nil {
+		if id < VertexID(len(vw.lut)) {
+			return vw.lut[id]
+		}
+		return -1
+	}
 	if i, ok := vw.pos[id]; ok {
 		return i
 	}

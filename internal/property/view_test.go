@@ -1,16 +1,17 @@
 package property
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // buildViewTestGraph returns a directed graph exercising the awkward
-// resolution paths: sparse IDs (defeating the dense-LUT fast path when
-// spread is large), dead edge targets, and uneven degrees.
+// resolution paths: sparse IDs (defeating the dense-ID path when spread
+// is large), dead edge targets, and uneven degrees.
 func buildViewTestGraph(t testing.TB, n int, seed int64, sparse bool) *Graph {
 	t.Helper()
-	g := New(Options{Directed: true, TrackInEdges: true, Shards: 16, Hint: n})
 	rng := rand.New(rand.NewSource(seed))
 	ids := make([]VertexID, n)
 	for i := range ids {
@@ -20,6 +21,22 @@ func buildViewTestGraph(t testing.TB, n int, seed int64, sparse bool) *Graph {
 			ids[i] = VertexID(i)
 		}
 	}
+	g := buildGraphOnIDs(t, ids, rng)
+	// Kill some vertices so resolution must drop edges to dead targets.
+	for i := 3; i < n; i += 11 {
+		if _, err := g.DeleteVertex(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// buildGraphOnIDs returns a directed graph on exactly the given vertex
+// IDs with random, unevenly distributed weighted edges among them.
+func buildGraphOnIDs(t testing.TB, ids []VertexID, rng *rand.Rand) *Graph {
+	t.Helper()
+	n := len(ids)
+	g := New(Options{Directed: true, TrackInEdges: true, Shards: 16, Hint: n})
 	for _, id := range ids {
 		g.AddVertex(id)
 	}
@@ -36,12 +53,6 @@ func buildViewTestGraph(t testing.TB, n int, seed int64, sparse bool) *Graph {
 			if err := g.AddEdge(ids[i], to, float64(rng.Intn(9)+1)); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	// Kill some vertices so resolution must drop edges to dead targets.
-	for i := 3; i < n; i += 11 {
-		if _, err := g.DeleteVertex(ids[i]); err != nil {
-			t.Fatal(err)
 		}
 	}
 	return g
@@ -76,9 +87,20 @@ func viewsEqual(t *testing.T, label string, a, b *View) {
 			t.Fatalf("%s: NbrW[%d] = %v != %v", label, i, a.NbrW[i], b.NbrW[i])
 		}
 	}
-	for id, p := range a.pos {
-		if b.pos[id] != p {
-			t.Fatalf("%s: pos[%d] = %d != %d", label, id, p, b.pos[id])
+	// The ID index: every ID up to just past the largest live one, plus
+	// IDs far above it, which no view may claim.
+	var maxID VertexID
+	for _, v := range a.Verts {
+		maxID = max(maxID, v.ID)
+	}
+	for id := VertexID(0); id <= maxID+2; id++ {
+		if a.IndexOf(id) != b.IndexOf(id) {
+			t.Fatalf("%s: IndexOf(%d) = %d != %d", label, id, a.IndexOf(id), b.IndexOf(id))
+		}
+	}
+	for _, id := range []VertexID{maxID + 1000, 2*maxID + 4096, 1 << 40, math.MaxUint64} {
+		if a.IndexOf(id) != -1 || b.IndexOf(id) != -1 {
+			t.Fatalf("%s: IndexOf(%d) = %d, %d, want -1", label, id, a.IndexOf(id), b.IndexOf(id))
 		}
 	}
 }
@@ -87,14 +109,65 @@ func viewsEqual(t *testing.T, label string, a, b *View) {
 // ViewWith output is a function of graph state only, identical across
 // worker counts and identical to the retained seed implementation.
 func TestViewParallelMatchesReference(t *testing.T) {
+	check := func(label string, g *Graph, dense bool) {
+		t.Helper()
+		ref := g.ViewReference()
+		for _, w := range []int{1, 2, 8} {
+			vw := g.ViewWith(ViewOpts{Workers: w})
+			if (vw.lut != nil) != dense || (vw.pos != nil) == dense {
+				t.Fatalf("%s, %d workers: dense path = %v, want %v", label, w, vw.lut != nil, dense)
+			}
+			viewsEqual(t, fmt.Sprintf("%s, %d workers", label, w), ref, vw)
+		}
+	}
 	for _, sparse := range []bool{false, true} {
 		for _, n := range []int{1, 5, 300, 3000} {
 			g := buildViewTestGraph(t, n, int64(n)+3, sparse)
-			ref := g.ViewReference()
-			for _, w := range []int{1, 2, 8} {
-				vw := g.ViewWith(ViewOpts{Workers: w})
-				viewsEqual(t, "workers", ref, vw)
+			vs := g.ViewReference().Verts
+			dense := len(vs) == 0 || uint64(vs[len(vs)-1].ID) < denseIDLimit(len(vs))
+			if !sparse && !dense {
+				t.Fatalf("n=%d: contiguous IDs must take the dense path", n)
 			}
+			check(fmt.Sprintf("n=%d sparse=%v", n, sparse), g, dense)
+		}
+	}
+
+	// The path boundary: IDs 0..n-2 plus one at the highest ID the dense
+	// path takes, then at the lowest one it leaves to the sparse path.
+	const n = 3000
+	for _, top := range []VertexID{VertexID(denseIDLimit(n) - 1), VertexID(denseIDLimit(n))} {
+		ids := make([]VertexID, n)
+		for i := range ids {
+			ids[i] = VertexID(i)
+		}
+		ids[n-1] = top
+		g := buildGraphOnIDs(t, ids, rand.New(rand.NewSource(int64(top))))
+		check(fmt.Sprintf("max ID %d", top), g, uint64(top) < denseIDLimit(n))
+	}
+
+	// The highest-ID vertex is deleted: the table ends below its ID, and
+	// the ID must resolve to -1.
+	g := buildViewTestGraph(t, 300, 17, false)
+	if _, err := g.DeleteVertex(299); err != nil {
+		t.Fatal(err)
+	}
+	check("top deleted", g, true)
+	if i := g.View().IndexOf(299); i != -1 {
+		t.Fatalf("IndexOf(deleted top) = %d, want -1", i)
+	}
+
+	// Every vertex deleted, from either ID layout: an empty view, which
+	// takes the dense path with a one-entry table.
+	for _, sparse := range []bool{false, true} {
+		g := buildViewTestGraph(t, 40, 23, sparse)
+		for _, v := range g.View().Verts {
+			if _, err := g.DeleteVertex(v.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("all deleted sparse=%v", sparse), g, true)
+		if vw := g.View(); vw.Len() != 0 || vw.EdgeTotal() != 0 {
+			t.Fatalf("all deleted: view has %d vertices, %d edges", vw.Len(), vw.EdgeTotal())
 		}
 	}
 }
@@ -136,9 +209,26 @@ func TestReverseCSRParallelMatchesSerial(t *testing.T) {
 // weights), IndexOf, sys.index, and the reverse arrays all stay mutually
 // consistent with the unordered baseline.
 func TestViewOrderComposition(t *testing.T) {
-	g := buildViewTestGraph(t, 500, 21, true)
+	// Dense IDs index the view by table, sparse ones by map; applyOrder
+	// must remap whichever the view carries.
+	for _, sparse := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sparse=%v", sparse), func(t *testing.T) {
+			testViewOrderComposition(t, sparse)
+		})
+	}
+}
+
+func testViewOrderComposition(t *testing.T, sparse bool) {
+	g := buildViewTestGraph(t, 500, 21, sparse)
 	base := g.View()
+	if (base.lut == nil) != sparse {
+		t.Fatalf("sparse=%v: view took the other ID-index path", sparse)
+	}
 	idxSlot := g.EnsureField(SysIndexField)
+	var maxID VertexID
+	for _, v := range base.Verts {
+		maxID = max(maxID, v.ID)
+	}
 
 	reverse := func(n int) OrderFunc {
 		return func(vn int, off, nbr []int32) []int32 {
@@ -205,6 +295,12 @@ func TestViewOrderComposition(t *testing.T) {
 			}
 			if int(v.Prop(idxSlot)) != i {
 				t.Fatalf("%s: sys.index of %d = %v, want %d", name, v.ID, v.Prop(idxSlot), i)
+			}
+		}
+		// IDs absent from the view, deleted ones included, stay absent.
+		for id := VertexID(0); id <= maxID+2; id++ {
+			if (vw.IndexOf(id) < 0) != (base.IndexOf(id) < 0) {
+				t.Fatalf("%s: IndexOf(%d) = %d, unordered view has %d", name, id, vw.IndexOf(id), base.IndexOf(id))
 			}
 		}
 		// Reverse arrays: brute-force in-neighbor sets from the forward CSR.
